@@ -28,7 +28,7 @@ def recompute_roots_by_traversal(jvm, receiver):
     unreferenced ones as roots."""
     heap = jvm.heap
     cost = jvm.cost_model
-    placed = [addr for addr, _ in receiver._placed]
+    placed = list(receiver.buffer.placed_objects)
     referenced = set()
     for addr in placed:
         for offset in heap.reference_offsets(addr):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.output_buffer import LOGICAL_BASE
 from repro.heap.heap import ManagedHeap
@@ -70,13 +70,45 @@ class InputBuffer:
     # placement
     # ------------------------------------------------------------------
 
-    def place(self, object_bytes: bytes) -> int:
-        """Copy one received object into the buffer, returning its physical
-        address.  The object's logical address is implied by arrival order
-        (senders commit objects densely in logical space)."""
+    def cursor(self) -> Tuple[int, int]:
+        """``(physical address, free bytes)`` where the current chunk takes
+        its next object; ``(0, 0)`` before the first chunk.
+
+        Streaming placement walks a segment object by object against this
+        budget and copies each run that fits with one :meth:`place_run`;
+        an object that does not fit first gets a fresh chunk from
+        :meth:`open_chunk`.
+        """
         if self._frozen:
             raise InputBufferError("buffer is frozen (stream already finished)")
-        return self._place(object_bytes)
+        if not self.chunks:
+            return 0, 0
+        chunk = self.chunks[-1]
+        return chunk.physical_start + chunk.filled, chunk.free
+
+    def open_chunk(self, size: int) -> Tuple[int, int]:
+        """Link a new chunk that holds at least ``size`` bytes (an oversized
+        object gets a chunk of its own size) and return its cursor."""
+        capacity = max(self.chunk_size, size)
+        physical = self.heap.reserve_raw_old(capacity)
+        chunk = Chunk(
+            physical_start=physical,
+            capacity=capacity,
+            logical_start=self._logical_cursor,
+        )
+        self.chunks.append(chunk)
+        self._starts_index.append(chunk.logical_start)
+        return physical, capacity
+
+    def place_run(self, data, addresses: Sequence[int]) -> None:
+        """Copy a run of whole received objects into the current chunk at
+        its cursor with one slice.  ``addresses`` are the physical starts
+        of the objects in ``data``, ascending, the first at the cursor; the
+        objects' logical addresses are implied by arrival order (senders
+        commit objects densely in logical space)."""
+        if self._frozen:
+            raise InputBufferError("buffer is frozen (stream already finished)")
+        self._commit(data, addresses)
 
     def append(self, object_bytes: bytes) -> int:
         """Delta-epoch placement: append one NEW object to a *finished*
@@ -87,36 +119,30 @@ class InputBuffer:
             raise InputBufferError(
                 "delta append on a buffer that never finished its stream"
             )
-        return self._place(object_bytes)
-
-    def _place(self, object_bytes: bytes) -> int:
         size = align_up(len(object_bytes), OBJECT_ALIGNMENT)
-        chunk = self._chunk_for(size)
-        address = chunk.physical_start + chunk.filled
-        self.heap.write_bytes(address, object_bytes)
         if size > len(object_bytes):
-            pad = size - len(object_bytes)
-            self.heap.write_bytes(address + len(object_bytes), bytes(pad))
-        chunk.filled += size
-        self._logical_cursor += size
-        self.heap.register_object(address)
-        self.placed_objects.append(address)
-        self.total_bytes += size
+            object_bytes = bytes(object_bytes) + bytes(size - len(object_bytes))
+        chunk = self.chunks[-1] if self.chunks else None
+        if chunk is not None and chunk.free >= size:
+            address = chunk.physical_start + chunk.filled
+        else:
+            address, _ = self.open_chunk(size)
+        self._commit(object_bytes, (address,))
         return address
 
-    def _chunk_for(self, size: int) -> Chunk:
-        if self.chunks and self.chunks[-1].free >= size:
-            return self.chunks[-1]
-        capacity = max(self.chunk_size, size)  # oversized objects
-        physical = self.heap.reserve_raw_old(capacity)
-        chunk = Chunk(
-            physical_start=physical,
-            capacity=capacity,
-            logical_start=self._logical_cursor,
-        )
-        self.chunks.append(chunk)
-        self._starts_index.append(chunk.logical_start)
-        return chunk
+    def _commit(self, data, addresses: Sequence[int]) -> None:
+        chunk = self.chunks[-1]
+        size = len(data)
+        if size > chunk.free:
+            raise InputBufferError(
+                f"run of {size} bytes overflows its chunk ({chunk.free} free)"
+            )
+        self.heap.write_bytes(chunk.physical_start + chunk.filled, data)
+        chunk.filled += size
+        self._logical_cursor += size
+        self.total_bytes += size
+        self.heap.register_objects(addresses)
+        self.placed_objects.extend(addresses)
 
     def freeze(self) -> None:
         """End of stream: no more placements; translation becomes legal."""
@@ -130,13 +156,16 @@ class InputBuffer:
     # address translation (the §4.3 chunk arithmetic)
     # ------------------------------------------------------------------
 
-    def translate(self, logical: int) -> int:
-        """Absolute heap address for a relativized reference."""
+    def _check_translatable(self) -> None:
         if not self._frozen:
             raise InputBufferError(
                 "translation before end-of-stream (computation on a buffer "
                 "being streamed into must block, paper §4.3)"
             )
+
+    def translate(self, logical: int) -> int:
+        """Absolute heap address for a relativized reference."""
+        self._check_translatable()
         if logical < LOGICAL_BASE or logical >= self._logical_cursor:
             raise InputBufferError(
                 f"relative address {logical:#x} outside buffer "
@@ -158,6 +187,64 @@ class InputBuffer:
             )
         self._last_chunk = chunk
         return chunk.physical_start + offset
+
+    def translator(self) -> Callable[[int], int]:
+        """:meth:`translate` for a frozen buffer, compiled for the
+        absolutization scan: one bisect over the chunk starts per pointer
+        and no locality cache.  Anything but a clean hit — an address
+        before the buffer, past its end, or in a chunk's unfilled tail —
+        falls through to :meth:`translate`, which raises the typed error.
+        """
+        self._check_translatable()
+        starts = list(self._starts_index)
+        ends = [chunk.logical_end for chunk in self.chunks]
+        deltas = [chunk.physical_start - chunk.logical_start
+                  for chunk in self.chunks]
+        slow = self.translate
+        bisect_right = bisect.bisect_right
+
+        def translate(logical: int) -> int:
+            i = bisect_right(starts, logical) - 1
+            if i >= 0 and logical < ends[i]:
+                return logical + deltas[i]
+            return slow(logical)
+
+        return translate
+
+    # ------------------------------------------------------------------
+    # release
+    # ------------------------------------------------------------------
+
+    def release(self) -> bool:
+        """Give the chunks' space back to the old generation, when nothing
+        can reach the buffer any more (its roots were never exposed).
+
+        Only a reservation that is contiguous and is still the top of the
+        old generation can be rolled back (the steady state of back-to-back
+        non-retained receives: nothing else was reserved or promoted since).
+        Otherwise the buffer is left as it is and ``False`` is returned.
+        On success the buffer is empty and frozen.
+        """
+        chunks = self.chunks
+        if not chunks:
+            return False
+        for lower, upper in zip(chunks, chunks[1:]):
+            if (lower.physical_start + align_up(lower.capacity, OBJECT_ALIGNMENT)
+                    != upper.physical_start):
+                return False
+        last = chunks[-1]
+        end = last.physical_start + align_up(last.capacity, OBJECT_ALIGNMENT)
+        if end != self.heap.old.top:
+            return False
+        self.heap.release_raw_old(chunks[0].physical_start)
+        self.chunks = []
+        self.placed_objects = []
+        self._starts_index = []
+        self._last_chunk = None
+        self._logical_cursor = LOGICAL_BASE
+        self.total_bytes = 0
+        self._frozen = True
+        return True
 
     @property
     def logical_size(self) -> int:

@@ -40,11 +40,16 @@ from repro.heap.layout import HeapLayout, OBJECT_ALIGNMENT, align_up
 #: One little-endian word (per-slot pointer writes).
 WORD_STRUCT = struct.Struct("<Q")
 
+#: The 4-byte array length slot.
+LENGTH_STRUCT = struct.Struct("<I")
+
 #: Header packs: (mark, tID, baddr=0) for Skyway layouts, (mark, tID) for
 #: baseline 16-byte headers.  MARK_OFFSET/KLASS_OFFSET/baddr are adjacent
 #: words starting at offset 0, so one pack covers the whole header fixup.
 HEADER3_STRUCT = struct.Struct("<QQQ")
 HEADER2_STRUCT = struct.Struct("<QQ")
+
+_ALIGN_MASK = OBJECT_ALIGNMENT - 1
 
 #: Cached ``"<nQ"`` run structs for reference arrays, keyed by length.
 _RUN_STRUCTS: Dict[int, struct.Struct] = {}
@@ -183,7 +188,7 @@ class ReceiveKernel:
         "klass", "klass_id", "layout", "cost", "is_array",
         "has_ref_elements", "size", "length_offset", "elem_base",
         "elem_size", "ref_offsets", "n_refs", "ref_unpack", "finish_cost",
-        "object_cost",
+        "object_cost", "place_cost",
     )
 
     def __init__(self, klass: Klass, layout: HeapLayout, cost) -> None:
@@ -205,6 +210,7 @@ class ReceiveKernel:
             self.n_refs = 0
             self.ref_unpack = None
             self.finish_cost = self.object_cost
+            self.place_cost = None
         else:
             self.elem_base = self.elem_size = 0
             self.size = klass.object_size()
@@ -214,11 +220,14 @@ class ReceiveKernel:
             self.finish_cost = (
                 self.object_cost + self.n_refs * cost.skyway_pointer_fixup
             )
+            #: The placement copy's charge (arrays compute it per object).
+            self.place_cost = cost.memcpy(self.size)
 
     def array_size(self, length: int) -> int:
-        return align_up(
-            self.elem_base + self.elem_size * length, OBJECT_ALIGNMENT
-        )
+        # align_up inlined: the receive walk and the digests size every
+        # array through here.
+        return (self.elem_base + self.elem_size * length + _ALIGN_MASK) \
+            & ~_ALIGN_MASK
 
 
 def receive_kernel_for(klass: Klass, layout: HeapLayout, cost) -> ReceiveKernel:

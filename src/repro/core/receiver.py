@@ -25,6 +25,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.input_buffer import InputBuffer, InputBufferError
 from repro.core.kernels import (
+    LENGTH_STRUCT,
     ReceiveKernel,
     WORD_STRUCT,
     receive_kernel_for,
@@ -38,6 +39,10 @@ from repro.jvm.jvm import JVM
 
 #: An update hook: (jvm, object_address) -> new field value.
 UpdateFunction = Callable[[JVM, int], object]
+
+
+#: Bytes of an object that must be present to read its tID.
+_HEADER_END = KLASS_OFFSET + 8
 
 
 class ReceiveError(RuntimeError):
@@ -63,9 +68,9 @@ class ObjectGraphReceiver:
         #: object (the old per-object ``name_for`` + ``loader.load`` pair
         #: dominated placement time for homogeneous streams).
         self._kernels: Dict[int, ReceiveKernel] = {}
-        #: (physical address, receive kernel) per placed object, in
-        #: logical order.
-        self._placed: List[Tuple[int, ReceiveKernel]] = []
+        #: The receive kernel of each placed object, parallel to
+        #: ``buffer.placed_objects`` (logical order).
+        self._placed_kernels: List[ReceiveKernel] = []
         self._finished = False
         self.objects_received = 0
         self.bytes_received = 0
@@ -75,48 +80,84 @@ class ObjectGraphReceiver:
     # ------------------------------------------------------------------
 
     def feed(self, segment: bytes) -> None:
-        """Parse and place one flushed segment (whole objects only)."""
+        """Parse and place one flushed segment (whole objects only).
+
+        The size walk visits every object — its tID resolves to a receive
+        kernel, which gives the size — and checks every header and size
+        against the segment.  Placement itself is per *run*: the objects
+        that fit the current chunk are copied with one slice, and only an
+        object that does not fit opens a new chunk.
+        """
         if self._finished:
             raise ReceiveError("stream already finished")
-        cost = self.jvm.cost_model
+        buffer = self.buffer
         kernels = self._kernels
-        pos = 0
-        n = len(segment)
+        placed_kernels = self._placed_kernels
+        memcpy = self.jvm.cost_model.memcpy
+        unpack_word = WORD_STRUCT.unpack_from
+        unpack_length = LENGTH_STRUCT.unpack_from
         view = memoryview(segment)
-        while pos < n:
-            if pos + KLASS_OFFSET + 8 > n:
-                raise ReceiveError(
-                    f"truncated object header at segment offset {pos}"
-                )
-            tid = int.from_bytes(segment[pos + KLASS_OFFSET : pos + KLASS_OFFSET + 8],
-                                 "little")
-            kernel = kernels.get(tid)
-            if kernel is None:
-                if tid == 0:
+        n = len(segment)
+        # The current run: its segment offset, the index of its first
+        # object in ``addresses``, and the physical address it goes to.
+        run_start = first = pos = 0
+        run_base, room = buffer.cursor()
+        addresses: List[int] = []
+        charges: List[float] = []
+        try:
+            while pos < n:
+                if pos + _HEADER_END > n:
                     raise ReceiveError(
-                        f"null tID at segment offset {pos} "
-                        f"(object #{self.objects_received} of the stream)"
+                        f"truncated object header at segment offset {pos}"
                     )
-                kernel = receive_kernel_for(
-                    self._klass_for_tid(tid), self.jvm.layout, cost
-                )
-                kernels[tid] = kernel
-            if kernel.is_array:
-                lo = pos + kernel.length_offset
-                length = int.from_bytes(segment[lo : lo + 4], "little")
-                size = kernel.array_size(length)
-            else:
+                tid = unpack_word(segment, pos + KLASS_OFFSET)[0]
+                kernel = kernels.get(tid)
+                if kernel is None:
+                    if tid == 0:
+                        raise ReceiveError(
+                            f"null tID at segment offset {pos} (object "
+                            f"#{self.objects_received + len(addresses)} of "
+                            f"the stream)"
+                        )
+                    # A class load may charge the clock: settle the
+                    # objects before it first, keeping the charge order.
+                    self.jvm.clock.charge_each(charges)
+                    charges = []
+                    kernel = receive_kernel_for(
+                        self._klass_for_tid(tid), self.jvm.layout,
+                        self.jvm.cost_model,
+                    )
+                    kernels[tid] = kernel
                 size = kernel.size
-            if pos + size > n:
-                raise ReceiveError(
-                    f"object of {size} bytes overruns segment at {pos}"
-                )
-            address = self.buffer.place(view[pos : pos + size])
-            self._placed.append((address, kernel))
-            self.objects_received += 1
-            self.bytes_received += size
-            self.jvm.clock.charge(cost.memcpy(size))
-            pos += size
+                if size is None:
+                    size = kernel.array_size(
+                        unpack_length(segment, pos + kernel.length_offset)[0]
+                    )
+                    charge = memcpy(size)
+                else:
+                    charge = kernel.place_cost
+                if pos + size > n:
+                    raise ReceiveError(
+                        f"object of {size} bytes overruns segment at {pos}"
+                    )
+                if size > room:
+                    if pos > run_start:
+                        buffer.place_run(view[run_start:pos], addresses[first:])
+                        run_start, first = pos, len(addresses)
+                    run_base, room = buffer.open_chunk(size)
+                addresses.append(run_base + (pos - run_start))
+                placed_kernels.append(kernel)
+                charges.append(charge)
+                room -= size
+                pos += size
+        finally:
+            # Everything walked before an error is placed, as if each
+            # object had been placed on its own.
+            if pos > run_start:
+                buffer.place_run(view[run_start:pos], addresses[first:])
+            self.objects_received += len(addresses)
+            self.bytes_received += pos
+            self.jvm.clock.charge_each(charges)
 
     def _klass_for_tid(self, tid: int):
         """tID -> local klass, loading the class if it is missing here
@@ -131,50 +172,63 @@ class ObjectGraphReceiver:
 
     def finish(self, root_offsets: List[int]) -> List[Handle]:
         """End of stream: run the linear absolutization scan, update the
-        card table, apply registered updates, and pin the top objects."""
+        card table, apply registered updates, and pin the top objects.
+
+        The scan works on the heap's backing store directly: each chunk is
+        bounds-checked once, then every object gets its klass word and
+        relocated pointer slots through the kernel's compiled structs.
+        """
         if self._finished:
             raise ReceiveError("stream already finished")
         self._finished = True
-        self.buffer.freeze()
+        buffer = self.buffer
+        buffer.freeze()
         heap = self.jvm.heap
         cost = self.jvm.cost_model
-
-        translate = self.buffer.translate
-        charge = self.jvm.clock.charge
-        for address, kernel in self._placed:
+        for kernel in self._kernels.values():
             if kernel.klass_id is None:  # pragma: no cover - loader invariant
                 raise ReceiveError(f"klass {kernel.klass.name} not installed")
-            heap.write_klass_word(address, kernel.klass_id)
+        for chunk in buffer.chunks:
+            heap.index_of(chunk.physical_start, chunk.filled)
+
+        memory = heap.memory_view
+        base = heap.base
+        translate = buffer.translator()
+        pack_word = WORD_STRUCT.pack_into
+        unpack_length = LENGTH_STRUCT.unpack_from
+        fixup = cost.skyway_pointer_fixup
+        charges: List[float] = []
+        charge = charges.append
+        for address, kernel in zip(buffer.placed_objects, self._placed_kernels):
+            i = address - base
+            pack_word(memory, i + KLASS_OFFSET, kernel.klass_id)
             if kernel.is_array:
                 slots = (
-                    heap.array_length(address)
+                    unpack_length(memory, i + kernel.length_offset)[0]
                     if kernel.has_ref_elements
                     else 0
                 )
                 if slots:
                     run = ref_run_struct(slots)
-                    base = address + kernel.elem_base
-                    values = heap.unpack_from(run, base)
-                    heap.pack_into(
-                        run,
-                        base,
-                        *[translate(v) if v else 0 for v in values],
-                    )
-                charge(kernel.object_cost + slots * cost.skyway_pointer_fixup)
+                    j = i + kernel.elem_base
+                    run.pack_into(memory, j, *[
+                        translate(v) if v else 0
+                        for v in run.unpack_from(memory, j)
+                    ])
+                charge(kernel.object_cost + slots * fixup)
             else:
                 if kernel.ref_unpack is not None:
-                    values = heap.unpack_from(kernel.ref_unpack, address)
+                    values = kernel.ref_unpack.unpack_from(memory, i)
                     for slot, relative in zip(kernel.ref_offsets, values):
                         if relative:
-                            heap.pack_into(
-                                WORD_STRUCT, address + slot, translate(relative)
-                            )
+                            pack_word(memory, i + slot, translate(relative))
                 charge(kernel.finish_cost)
 
         # GC integration: make the new pointers card-table visible.
-        for chunk in self.buffer.chunks:
+        for chunk in buffer.chunks:
             heap.card_table.mark_range(chunk.physical_start, chunk.filled)
-            self.jvm.clock.charge(cost.card_table_update)
+            charge(cost.card_table_update)
+        self.jvm.clock.charge_each(charges)
 
         self._apply_updates()
         return [self.jvm.pin(self._root_address(off)) for off in root_offsets]
@@ -192,7 +246,8 @@ class ObjectGraphReceiver:
         (paper §3.3: e.g. re-initializing a timestamp field)."""
         if not self._update_functions:
             return
-        for address, kernel in self._placed:
+        for address, kernel in zip(self.buffer.placed_objects,
+                                   self._placed_kernels):
             hooks = self._update_functions.get(kernel.klass.name)
             if not hooks:
                 continue

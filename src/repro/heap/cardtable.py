@@ -59,6 +59,23 @@ class CardTable:
         self._dirty.update(range(first, last + 1))
         self.marks += last - first + 1
 
+    def clear_range(self, address: int, nbytes: int) -> None:
+        """Clean every card lying wholly inside ``[address, address +
+        nbytes)`` (space given back to the generation).  A card that
+        straddles either end also covers memory outside the range, so it
+        keeps its state."""
+        if nbytes <= 0:
+            return
+        first = -(-(address - self.start) // self.card_size)
+        end = min(address + nbytes, self.end)
+        last = (end - self.start) // self.card_size  # exclusive
+        if end == self.end:
+            last = self._card_count()
+        if last - first > len(self._dirty):
+            self._dirty = {c for c in self._dirty if not first <= c < last}
+        else:
+            self._dirty.difference_update(range(first, last))
+
     def is_dirty(self, address: int) -> bool:
         return self.card_index(address) in self._dirty
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import struct
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.heap import markword
 from repro.heap.cardtable import CardTable
@@ -234,9 +234,14 @@ class ManagedHeap:
         self.write_word(address + self.layout.baddr_offset, value)
 
     def klass_of(self, address: int) -> Klass:
+        return self.resolve_klass(self.read_klass_word(address))
+
+    def resolve_klass(self, klass_word: int) -> Klass:
+        """The klass a klass word names (callers that already read the
+        word, e.g. a scan over a copied heap image)."""
         if self.klass_resolver is None:
             raise HeapError("heap has no klass resolver attached")
-        return self.klass_resolver(self.read_klass_word(address))
+        return self.klass_resolver(klass_word)
 
     def array_length(self, address: int) -> int:
         i = self._index(address + self.layout.array_length_offset, 4)
@@ -415,6 +420,41 @@ class ManagedHeap:
         if i < len(starts) and starts[i] == address:
             raise HeapError(f"object already registered: {address:#x}")
         starts.insert(i, address)
+
+    def register_objects(self, addresses: Sequence[int]) -> None:
+        """:meth:`register_object` for a run of ascending addresses (one
+        placed input-buffer run): one list extend when the run lands above
+        every registered object, as streaming placement does."""
+        if not addresses:
+            return
+        starts = self.old.object_starts
+        if not starts or addresses[0] > starts[-1]:
+            starts.extend(addresses)
+            return
+        for address in addresses:
+            self.register_object(address)
+
+    def release_raw_old(self, address: int) -> None:
+        """Undo the most recent raw reservations: give back
+        ``[address, old.top)``, dropping the objects registered there from
+        the parse index and their dirty cards.
+
+        Only legal when nothing in that range is reachable and nothing
+        else was allocated there (the caller checks the range is its own
+        top-of-generation reservation).  A card shared with objects below
+        ``address`` stays dirty: a spuriously dirty card is harmless, a
+        lost one is not.
+        """
+        old = self.old
+        if not old.start <= address <= old.top:
+            raise HeapError(
+                f"release of {address:#x} outside old gen "
+                f"[{old.start:#x}, {old.top:#x}]"
+            )
+        starts = old.object_starts
+        del starts[bisect.bisect_left(starts, address):]
+        self.card_table.clear_range(address, old.top - address)
+        old.top = address
 
     # ------------------------------------------------------------------
     # iteration / queries

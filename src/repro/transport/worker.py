@@ -31,8 +31,9 @@ Ops:
     Receive one Skyway object stream into this heap (placement overlapping
     arrival), absolutize, and reply with root count, object/byte tallies
     and the position-independent :func:`~repro.transport.digest.graph_digest`.
-    ``retain=false`` (default) unpins the roots after digesting so
-    repeated benchmark sends don't exhaust the worker heap.
+    ``retain=false`` (default) unpins the roots after digesting and
+    releases the buffer's chunks when they top the old generation, so
+    repeated benchmark sends reuse the same old-generation space.
 ``recv_blob``
     Receive an opaque byte blob (the Spark broadcast path) and reply with
     its size and CRC.
@@ -247,8 +248,11 @@ class WorkerServer:
             }
             self.graphs_received += 1
             if not retain:
-                # unpin roots; GC reclaims on future pressure
+                # The roots were never exposed: unpin them and give the
+                # chunks back to the old generation when they are still its
+                # top reservation (otherwise they stay where they are).
                 self.runtime.free_input_buffer(token)
+                receiver.buffer.release()
         return result
 
     def _op_recv_blob(self, conn: FrameConnection, call: dict) -> dict:

@@ -47,6 +47,36 @@ class TestOutputBufferProperties:
         assert b"".join(segments) == b"".join(payloads)
 
 
+def place_all(buffer, payloads):
+    """Place whole objects the way the receiver does: each run that fits
+    the current chunk goes in with one ``place_run``; an object that does
+    not fit opens a new chunk.  Returns each object's physical address."""
+    addresses, run = [], []
+    cursor, room = buffer.cursor()
+    for payload in payloads:
+        if len(payload) > room:
+            if run:
+                buffer.place_run(b"".join(run), addresses[-len(run):])
+            cursor, room = buffer.open_chunk(len(payload))
+            run = []
+        addresses.append(cursor)
+        run.append(payload)
+        cursor += len(payload)
+        room -= len(payload)
+    if run:
+        buffer.place_run(b"".join(run), addresses[-len(run):])
+    return addresses
+
+
+def long_array_image(jvm, klass, length):
+    """Fabricate the wire image of a long[length] object."""
+    payload = bytearray(klass.object_size(length))
+    payload[8:16] = (klass.klass_id or 0).to_bytes(8, "little")
+    offset = jvm.layout.array_length_offset
+    payload[offset:offset + 4] = length.to_bytes(4, "little")
+    return bytes(payload)
+
+
 class TestPlacementTranslationInverse:
     @_SETTINGS
     @given(lengths=st.lists(st.integers(min_value=0, max_value=200),
@@ -60,23 +90,19 @@ class TestPlacementTranslationInverse:
         long_array = jvm.loader.load("[J")
         buffer = InputBuffer(jvm.heap, chunk_size=chunk_size)
 
+        payloads = [long_array_image(jvm, long_array, n) for n in lengths]
+        physical = place_all(buffer, payloads)
         logical = LOGICAL_BASE
         expected = []  # (logical address, physical address)
-        for length in lengths:
-            size = long_array.object_size(length)
-            # Fabricate the wire image of a long[length] object.
-            payload = bytearray(size)
-            payload[8:16] = (long_array.klass_id or 0).to_bytes(8, "little")
-            payload[jvm.layout.array_length_offset:
-                    jvm.layout.array_length_offset + 4] = \
-                length.to_bytes(4, "little")
-            physical = buffer.place(bytes(payload))
-            expected.append((logical, physical))
-            logical += align_up(size, OBJECT_ALIGNMENT)
+        for payload, address in zip(payloads, physical):
+            expected.append((logical, address))
+            logical += align_up(len(payload), OBJECT_ALIGNMENT)
 
         buffer.freeze()
+        translate = buffer.translator()
         for logical_addr, physical_addr in expected:
             assert buffer.translate(logical_addr) == physical_addr
+            assert translate(logical_addr) == physical_addr
 
     @_SETTINGS
     @given(lengths=st.lists(st.integers(min_value=0, max_value=50),
@@ -89,18 +115,12 @@ class TestPlacementTranslationInverse:
                   old_bytes=8 * 1024 * 1024)
         long_array = jvm.loader.load("[J")
         buffer = InputBuffer(jvm.heap, chunk_size=512)
+        payloads = [long_array_image(jvm, long_array, n) for n in lengths]
         placements = []
         logical = LOGICAL_BASE
-        for length in lengths:
-            size = long_array.object_size(length)
-            payload = bytearray(size)
-            payload[8:16] = (long_array.klass_id or 0).to_bytes(8, "little")
-            payload[jvm.layout.array_length_offset:
-                    jvm.layout.array_length_offset + 4] = \
-                length.to_bytes(4, "little")
-            phys = buffer.place(bytes(payload))
-            placements.append((logical, phys, size))
-            logical += align_up(size, OBJECT_ALIGNMENT)
+        for payload, phys in zip(payloads, place_all(buffer, payloads)):
+            placements.append((logical, phys, len(payload)))
+            logical += align_up(len(payload), OBJECT_ALIGNMENT)
         buffer.freeze()
         for logical_addr, phys, size in placements:
             probe = min(size - 8, 8)

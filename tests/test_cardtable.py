@@ -41,6 +41,19 @@ class TestMarking:
         assert table.dirty_count == 0
 
 
+    def test_clear_range_keeps_straddling_cards(self, table):
+        table.mark_range(0x1000, 8 * 512)
+        table.clear_range(0x1000 + 700, 3 * 512)  # cards 2 and 3 wholly
+        assert [table.is_dirty(0x1000 + 512 * i) for i in range(8)] == \
+            [True, True, False, False, True, True, True, True]
+
+    def test_clear_range_to_table_end(self, table):
+        table.mark_range(0x1000, 8 * 512)
+        table.clear_range(0x1000 + 1024, 6 * 512)
+        assert table.dirty_count == 2
+        table.clear_range(0x1000, 1)  # inside card 0, not all of it
+        assert table.dirty_count == 2
+
 class TestDirtyRanges:
     def test_empty(self, table):
         assert list(table.dirty_ranges()) == []

@@ -7,9 +7,11 @@ from repro.core.runtime import attach_skyway
 from repro.core.streams import SkywayObjectInputStream, SkywayObjectOutputStream
 from repro.core.input_buffer import InputBuffer, InputBufferError
 from repro.core.output_buffer import LOGICAL_BASE
+from repro.heap.heap import OutOfMemoryError
 from repro.jvm.jvm import JVM
+from repro.transport.digest import graph_digest
 
-from tests.conftest import make_date
+from tests.conftest import make_date, make_list
 
 
 @pytest.fixture
@@ -74,6 +76,20 @@ class TestReceiverErrors:
         with pytest.raises(ReceiveError):
             receiver.finish(marks)
 
+    def test_out_of_memory_mid_segment_places_each_object_once(
+            self, classpath):
+        src = JVM("oom-src", classpath=classpath)
+        dst = JVM("oom-dst", classpath=classpath, old_bytes=2048)
+        attach_skyway(src, [dst], input_chunk_size=256)
+        segments, _ = sent_segments(src, [make_list(src, range(200))])
+        receiver = dst.skyway.new_receiver()
+        with pytest.raises(OutOfMemoryError):
+            for seg in segments:
+                receiver.feed(seg)
+        placed = receiver.buffer.placed_objects
+        assert 0 < len(placed) == receiver.objects_received < 200
+        assert dst.heap.old.object_starts == placed
+
     def test_bad_top_mark(self, pair):
         src, dst = pair
         segments, _ = sent_segments(src, [make_date(src, 1, 1, 1)])
@@ -96,15 +112,53 @@ class TestInputBufferErrors:
         with pytest.raises(InputBufferError, match="outside"):
             buffer.translate(LOGICAL_BASE + 4096)
 
-    def test_place_after_freeze(self, jvm):
-        buffer = InputBuffer(jvm.heap)
-        buffer.freeze()
+    def test_place_after_freeze(self, pair):
+        src, dst = pair
+        segments, _ = sent_segments(src, [make_date(src, 1, 1, 1)])
+        receiver = dst.skyway.new_receiver()
+        receiver.buffer.freeze()
         with pytest.raises(InputBufferError, match="frozen"):
-            buffer.place(b"\x00" * 32)
+            receiver.feed(segments[0])
+        assert len(receiver.buffer) == 0
 
     def test_tiny_chunk_size_rejected(self, jvm):
         with pytest.raises(ValueError):
             InputBuffer(jvm.heap, chunk_size=16)
+
+
+class TestDigestErrors:
+    def received(self, pair, root_of):
+        src, dst = pair
+        segments, marks = sent_segments(src, [root_of(src)])
+        receiver = dst.skyway.new_receiver()
+        for seg in segments:
+            receiver.feed(seg)
+        receiver.finish(marks)
+        return dst, receiver
+
+    def test_graph_digest_rejects_pointer_outside_buffer(self, pair):
+        dst, receiver = self.received(pair, lambda jvm: make_date(jvm, 1, 2, 3))
+        root = receiver.buffer.placed_objects[0]
+        outside = make_date(dst, 4, 5, 6)  # a live object, not in the buffer
+        dst.heap.write_word(root + dst.loader.load("Date").field("day").offset,
+                            outside)
+        with pytest.raises(ValueError, match="outside the input buffer"):
+            graph_digest(dst, receiver)
+
+    def test_graph_digest_rejects_array_element_outside_buffer(self, pair):
+        def holder(jvm):
+            arr = jvm.pin(jvm.new_array("Ljava.lang.Object;", 3))
+            jvm.heap.write_element(arr.address, 1, make_date(jvm, 1, 1, 1))
+            return arr.address
+
+        dst, receiver = self.received(pair, holder)
+        arr = receiver.buffer.placed_objects[0]
+        past_end = receiver.buffer.chunks[-1].physical_start \
+            + receiver.buffer.chunks[-1].filled
+        dst.heap.write_word(arr + dst.heap.element_offset(
+            dst.klass_of(arr), 2), past_end)
+        with pytest.raises(ValueError, match="outside the input buffer"):
+            graph_digest(dst, receiver)
 
 
 class TestDriverRestart:
