@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import bisect
 import dataclasses
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.core.output_buffer import LOGICAL_BASE
 from repro.heap.heap import ManagedHeap
@@ -70,45 +70,21 @@ class InputBuffer:
     # placement
     # ------------------------------------------------------------------
 
-    def cursor(self) -> Tuple[int, int]:
-        """``(physical address, free bytes)`` where the current chunk takes
-        its next object; ``(0, 0)`` before the first chunk.
+    def place_objects(self, data, sizes: Sequence[int]) -> List[int]:
+        """Copy whole received objects, laid end to end in ``data`` with the
+        given aligned ``sizes``, into the buffer and return their physical
+        addresses.  The objects' logical addresses are implied by arrival
+        order (senders commit objects densely in logical space).
 
-        Streaming placement walks a segment object by object against this
-        budget and copies each run that fits with one :meth:`place_run`;
-        an object that does not fit first gets a fresh chunk from
-        :meth:`open_chunk`.
+        Each run of objects that fits the current chunk is copied with one
+        slice; an object that does not fit links a new chunk of
+        ``max(chunk_size, size)`` bytes (an oversized object gets a chunk of
+        its own).  If a chunk cannot be reserved, the objects before it
+        stay placed, as if each had been placed on its own.
         """
         if self._frozen:
             raise InputBufferError("buffer is frozen (stream already finished)")
-        if not self.chunks:
-            return 0, 0
-        chunk = self.chunks[-1]
-        return chunk.physical_start + chunk.filled, chunk.free
-
-    def open_chunk(self, size: int) -> Tuple[int, int]:
-        """Link a new chunk that holds at least ``size`` bytes (an oversized
-        object gets a chunk of its own size) and return its cursor."""
-        capacity = max(self.chunk_size, size)
-        physical = self.heap.reserve_raw_old(capacity)
-        chunk = Chunk(
-            physical_start=physical,
-            capacity=capacity,
-            logical_start=self._logical_cursor,
-        )
-        self.chunks.append(chunk)
-        self._starts_index.append(chunk.logical_start)
-        return physical, capacity
-
-    def place_run(self, data, addresses: Sequence[int]) -> None:
-        """Copy a run of whole received objects into the current chunk at
-        its cursor with one slice.  ``addresses`` are the physical starts
-        of the objects in ``data``, ascending, the first at the cursor; the
-        objects' logical addresses are implied by arrival order (senders
-        commit objects densely in logical space)."""
-        if self._frozen:
-            raise InputBufferError("buffer is frozen (stream already finished)")
-        self._commit(data, addresses)
+        return self._place(data, sizes)
 
     def append(self, object_bytes: bytes) -> int:
         """Delta-epoch placement: append one NEW object to a *finished*
@@ -122,21 +98,58 @@ class InputBuffer:
         size = align_up(len(object_bytes), OBJECT_ALIGNMENT)
         if size > len(object_bytes):
             object_bytes = bytes(object_bytes) + bytes(size - len(object_bytes))
-        chunk = self.chunks[-1] if self.chunks else None
-        if chunk is not None and chunk.free >= size:
-            address = chunk.physical_start + chunk.filled
+        return self._place(object_bytes, (size,))[0]
+
+    def _place(self, data, sizes: Sequence[int]) -> List[int]:
+        """:meth:`place_objects` without the frozen check (shared with
+        :meth:`append`)."""
+        if sum(sizes) != len(data):
+            raise InputBufferError(
+                f"object sizes sum to {sum(sizes)}, not the {len(data)} "
+                f"bytes given"
+            )
+        addresses: List[int] = []
+        add = addresses.append
+        if self.chunks:
+            chunk = self.chunks[-1]
+            base, room = chunk.physical_start + chunk.filled, chunk.free
         else:
-            address, _ = self.open_chunk(size)
-        self._commit(object_bytes, (address,))
-        return address
+            base = room = 0
+        # The current run: its offset in ``data``, the index of its first
+        # object in ``addresses``, and (``base``) its physical address.
+        start = first = pos = 0
+        try:
+            for size in sizes:
+                if size > room:
+                    if pos > start:
+                        run = data[start:pos], addresses[first:]
+                        start, first = pos, len(addresses)
+                        self._commit(*run)
+                    chunk = self._open_chunk(size)
+                    base, room = chunk.physical_start, chunk.capacity
+                add(base + (pos - start))
+                room -= size
+                pos += size
+        finally:
+            if pos > start:
+                self._commit(data[start:pos], addresses[first:])
+        return addresses
+
+    def _open_chunk(self, size: int) -> Chunk:
+        capacity = max(self.chunk_size, size)
+        physical = self.heap.reserve_raw_old(capacity)
+        chunk = Chunk(
+            physical_start=physical,
+            capacity=capacity,
+            logical_start=self._logical_cursor,
+        )
+        self.chunks.append(chunk)
+        self._starts_index.append(chunk.logical_start)
+        return chunk
 
     def _commit(self, data, addresses: Sequence[int]) -> None:
         chunk = self.chunks[-1]
         size = len(data)
-        if size > chunk.free:
-            raise InputBufferError(
-                f"run of {size} bytes overflows its chunk ({chunk.free} free)"
-            )
         self.heap.write_bytes(chunk.physical_start + chunk.filled, data)
         chunk.filled += size
         self._logical_cursor += size
@@ -156,16 +169,13 @@ class InputBuffer:
     # address translation (the §4.3 chunk arithmetic)
     # ------------------------------------------------------------------
 
-    def _check_translatable(self) -> None:
+    def translate(self, logical: int) -> int:
+        """Absolute heap address for a relativized reference."""
         if not self._frozen:
             raise InputBufferError(
                 "translation before end-of-stream (computation on a buffer "
                 "being streamed into must block, paper §4.3)"
             )
-
-    def translate(self, logical: int) -> int:
-        """Absolute heap address for a relativized reference."""
-        self._check_translatable()
         if logical < LOGICAL_BASE or logical >= self._logical_cursor:
             raise InputBufferError(
                 f"relative address {logical:#x} outside buffer "
@@ -187,29 +197,6 @@ class InputBuffer:
             )
         self._last_chunk = chunk
         return chunk.physical_start + offset
-
-    def translator(self) -> Callable[[int], int]:
-        """:meth:`translate` for a frozen buffer, compiled for the
-        absolutization scan: one bisect over the chunk starts per pointer
-        and no locality cache.  Anything but a clean hit — an address
-        before the buffer, past its end, or in a chunk's unfilled tail —
-        falls through to :meth:`translate`, which raises the typed error.
-        """
-        self._check_translatable()
-        starts = list(self._starts_index)
-        ends = [chunk.logical_end for chunk in self.chunks]
-        deltas = [chunk.physical_start - chunk.logical_start
-                  for chunk in self.chunks]
-        slow = self.translate
-        bisect_right = bisect.bisect_right
-
-        def translate(logical: int) -> int:
-            i = bisect_right(starts, logical) - 1
-            if i >= 0 and logical < ends[i]:
-                return logical + deltas[i]
-            return slow(logical)
-
-        return translate
 
     # ------------------------------------------------------------------
     # release

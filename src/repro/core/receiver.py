@@ -84,25 +84,22 @@ class ObjectGraphReceiver:
 
         The size walk visits every object — its tID resolves to a receive
         kernel, which gives the size — and checks every header and size
-        against the segment.  Placement itself is per *run*: the objects
-        that fit the current chunk are copied with one slice, and only an
-        object that does not fit opens a new chunk.
+        against the segment; the walked objects then go into the buffer
+        with :meth:`InputBuffer.place_objects`, one slice per run.
         """
         if self._finished:
             raise ReceiveError("stream already finished")
-        buffer = self.buffer
         kernels = self._kernels
-        placed_kernels = self._placed_kernels
         memcpy = self.jvm.cost_model.memcpy
         unpack_word = WORD_STRUCT.unpack_from
         unpack_length = LENGTH_STRUCT.unpack_from
         view = memoryview(segment)
         n = len(segment)
-        # The current run: its segment offset, the index of its first
-        # object in ``addresses``, and the physical address it goes to.
-        run_start = first = pos = 0
-        run_base, room = buffer.cursor()
-        addresses: List[int] = []
+        # The walked objects not yet placed: they start at segment offset
+        # ``start``, with their sizes, kernels and copy charges.
+        start = pos = 0
+        sizes: List[int] = []
+        walked: List[ReceiveKernel] = []
         charges: List[float] = []
         try:
             while pos < n:
@@ -116,13 +113,14 @@ class ObjectGraphReceiver:
                     if tid == 0:
                         raise ReceiveError(
                             f"null tID at segment offset {pos} (object "
-                            f"#{self.objects_received + len(addresses)} of "
+                            f"#{self.objects_received + len(sizes)} of "
                             f"the stream)"
                         )
                     # A class load may charge the clock: settle the
                     # objects before it first, keeping the charge order.
-                    self.jvm.clock.charge_each(charges)
-                    charges = []
+                    batch = view[start:pos], sizes, walked, charges
+                    start, sizes, walked, charges = pos, [], [], []
+                    self._place(*batch)
                     kernel = receive_kernel_for(
                         self._klass_for_tid(tid), self.jvm.layout,
                         self.jvm.cost_model,
@@ -140,23 +138,35 @@ class ObjectGraphReceiver:
                     raise ReceiveError(
                         f"object of {size} bytes overruns segment at {pos}"
                     )
-                if size > room:
-                    if pos > run_start:
-                        buffer.place_run(view[run_start:pos], addresses[first:])
-                        run_start, first = pos, len(addresses)
-                    run_base, room = buffer.open_chunk(size)
-                addresses.append(run_base + (pos - run_start))
-                placed_kernels.append(kernel)
+                sizes.append(size)
+                walked.append(kernel)
                 charges.append(charge)
-                room -= size
                 pos += size
-        finally:
+        except BaseException:
             # Everything walked before an error is placed, as if each
             # object had been placed on its own.
-            if pos > run_start:
-                buffer.place_run(view[run_start:pos], addresses[first:])
-            self.objects_received += len(addresses)
-            self.bytes_received += pos
+            self._place(view[start:pos], sizes, walked, charges)
+            raise
+        self._place(view[start:pos], sizes, walked, charges)
+
+    def _place(self, data, sizes: List[int], walked: List[ReceiveKernel],
+               charges: List[float]) -> None:
+        """Place walked objects and charge their copies; if placement
+        stops early (no room for a chunk), only the objects placed count."""
+        if not sizes:
+            return
+        buffer = self.buffer
+        before = len(buffer.placed_objects)
+        try:
+            buffer.place_objects(data, sizes)
+        finally:
+            placed = len(buffer.placed_objects) - before
+            if placed < len(sizes):
+                walked, charges = walked[:placed], charges[:placed]
+                sizes = sizes[:placed]
+            self._placed_kernels.extend(walked)
+            self.objects_received += placed
+            self.bytes_received += sum(sizes)
             self.jvm.clock.charge_each(charges)
 
     def _klass_for_tid(self, tid: int):
@@ -193,7 +203,7 @@ class ObjectGraphReceiver:
 
         memory = heap.memory_view
         base = heap.base
-        translate = buffer.translator()
+        translate = buffer.translate
         pack_word = WORD_STRUCT.pack_into
         unpack_length = LENGTH_STRUCT.unpack_from
         fixup = cost.skyway_pointer_fixup

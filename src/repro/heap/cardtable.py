@@ -71,10 +71,7 @@ class CardTable:
         last = (end - self.start) // self.card_size  # exclusive
         if end == self.end:
             last = self._card_count()
-        if last - first > len(self._dirty):
-            self._dirty = {c for c in self._dirty if not first <= c < last}
-        else:
-            self._dirty.difference_update(range(first, last))
+        self._dirty.difference_update(range(first, last))
 
     def is_dirty(self, address: int) -> bool:
         return self.card_index(address) in self._dirty

@@ -47,27 +47,6 @@ class TestOutputBufferProperties:
         assert b"".join(segments) == b"".join(payloads)
 
 
-def place_all(buffer, payloads):
-    """Place whole objects the way the receiver does: each run that fits
-    the current chunk goes in with one ``place_run``; an object that does
-    not fit opens a new chunk.  Returns each object's physical address."""
-    addresses, run = [], []
-    cursor, room = buffer.cursor()
-    for payload in payloads:
-        if len(payload) > room:
-            if run:
-                buffer.place_run(b"".join(run), addresses[-len(run):])
-            cursor, room = buffer.open_chunk(len(payload))
-            run = []
-        addresses.append(cursor)
-        run.append(payload)
-        cursor += len(payload)
-        room -= len(payload)
-    if run:
-        buffer.place_run(b"".join(run), addresses[-len(run):])
-    return addresses
-
-
 def long_array_image(jvm, klass, length):
     """Fabricate the wire image of a long[length] object."""
     payload = bytearray(klass.object_size(length))
@@ -91,7 +70,8 @@ class TestPlacementTranslationInverse:
         buffer = InputBuffer(jvm.heap, chunk_size=chunk_size)
 
         payloads = [long_array_image(jvm, long_array, n) for n in lengths]
-        physical = place_all(buffer, payloads)
+        physical = buffer.place_objects(b"".join(payloads),
+                                        [len(p) for p in payloads])
         logical = LOGICAL_BASE
         expected = []  # (logical address, physical address)
         for payload, address in zip(payloads, physical):
@@ -99,10 +79,8 @@ class TestPlacementTranslationInverse:
             logical += align_up(len(payload), OBJECT_ALIGNMENT)
 
         buffer.freeze()
-        translate = buffer.translator()
         for logical_addr, physical_addr in expected:
             assert buffer.translate(logical_addr) == physical_addr
-            assert translate(logical_addr) == physical_addr
 
     @_SETTINGS
     @given(lengths=st.lists(st.integers(min_value=0, max_value=50),
@@ -118,7 +96,9 @@ class TestPlacementTranslationInverse:
         payloads = [long_array_image(jvm, long_array, n) for n in lengths]
         placements = []
         logical = LOGICAL_BASE
-        for payload, phys in zip(payloads, place_all(buffer, payloads)):
+        physical = buffer.place_objects(b"".join(payloads),
+                                        [len(p) for p in payloads])
+        for payload, phys in zip(payloads, physical):
             placements.append((logical, phys, len(payload)))
             logical += align_up(len(payload), OBJECT_ALIGNMENT)
         buffer.freeze()
